@@ -2,8 +2,8 @@
 // validates the Prometheus text format 0.0.4 contract — HELP/TYPE preambles,
 // name and label charsets, parseable sample values, counter monotonicity
 // across scrapes — plus the presence of the series the observability plane
-// promises (per-backend latency EMA, warm-hit ratios, lane queue depths,
-// governor gauges).  CI runs this test by name as the metrics-lint gate.
+// promises (per-backend latency EMA, warm-hit ratios, lane queue depths).
+// CI runs the MetricsExposition tests by name as the metrics-lint gate.
 package main
 
 import (
@@ -128,10 +128,7 @@ func scrapeMetrics(t *testing.T, url string) (string, map[string]float64, map[st
 
 // TestMetricsExpositionLint is the CI metrics-lint gate.
 func TestMetricsExpositionLint(t *testing.T) {
-	svc := solve.NewService(solve.Config{
-		Workers:  2,
-		Governor: solve.GovernorConfig{}, // instruments register even when disabled
-	})
+	svc := solve.NewService(solve.Config{Workers: 2})
 	srv := newServer(svc, serverConfig{})
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
@@ -155,7 +152,6 @@ func TestMetricsExpositionLint(t *testing.T) {
 	// The promised observability series exist.
 	for _, want := range []string{
 		`analogflow_backend_latency_ema_milliseconds{backend="dinic"}`,
-		`analogflow_backend_latency_window_milliseconds{backend="dinic"}`,
 		`analogflow_requests_total`,
 		`analogflow_completed_total`,
 		`analogflow_warm_hit_ratio{cache="instance"}`,
@@ -164,12 +160,9 @@ func TestMetricsExpositionLint(t *testing.T) {
 		`analogflow_queue_depth{lane="urgent"}`,
 		`analogflow_queue_depth{lane="priority"}`,
 		`analogflow_queue_depth{lane="normal"}`,
-		`analogflow_governor_effective_workers`,
-		`analogflow_governor_effective_budget_vertices`,
 		`analogflow_workers_effective`,
 		`analogflow_workers_busy`,
 		`analogflow_in_flight_solves`,
-		`analogflow_throughput_rps`,
 		`analogflow_sessions_live`,
 		`analogflow_server_draining`,
 		`analogflow_client_disconnects_total`,
@@ -229,6 +222,27 @@ func TestMetricsExpositionLint(t *testing.T) {
 		t.Errorf("requests_total did not advance across traffic: %v -> %v",
 			first[`analogflow_requests_total`], second[`analogflow_requests_total`])
 	}
+
+	// One source: the exported EMA gauge is the /v1/stats reading.
+	resp, err = http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fleet struct {
+		Backends map[string]solve.BackendWindow `json:"backends"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&fleet)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scraped, ok := second[`analogflow_backend_latency_ema_milliseconds{backend="dinic"}`]
+	if !ok || scraped <= 0 {
+		t.Fatalf("scraped dinic EMA %v (present %v), want > 0", scraped, ok)
+	}
+	if got := fleet.Backends["dinic"].EMAms; got != scraped {
+		t.Errorf("stats backends.dinic.ema_ms %v != scraped EMA gauge %v", got, scraped)
+	}
 }
 
 func drainBody(resp *http.Response) {
@@ -242,8 +256,8 @@ func drainBody(resp *http.Response) {
 }
 
 // TestStatsEndpointShape pins the /v1/stats fleet aggregate: workers,
-// queues, cache, sessions, governor, per-backend windows, and the raw
-// counter dump all present and self-consistent.
+// queues, cache, sessions, per-backend latency, and the raw counter dump
+// all present and self-consistent.
 func TestStatsEndpointShape(t *testing.T) {
 	srv := newTestServer(t, 2)
 	_, _ = postSolve(t, srv, fmt.Sprintf(`{"solver":"dinic","problems":[%s]}`, figure5Inline))
@@ -261,7 +275,6 @@ func TestStatsEndpointShape(t *testing.T) {
 		Sessions struct {
 			Live int `json:"live"`
 		} `json:"sessions"`
-		Governor solve.GovernorSnapshot         `json:"governor"`
 		Backends map[string]solve.BackendWindow `json:"backends"`
 		Stats    solve.Stats                    `json:"stats"`
 	}
@@ -274,8 +287,8 @@ func TestStatsEndpointShape(t *testing.T) {
 	if out.Workers.Total < 1 || out.Workers.Free != out.Workers.Total-out.Workers.Busy {
 		t.Errorf("worker block inconsistent: %+v", out.Workers)
 	}
-	if out.Governor.EffectiveWorkers != out.Workers.Total {
-		t.Errorf("governor effective workers %d != worker total %d", out.Governor.EffectiveWorkers, out.Workers.Total)
+	if out.Workers.Total != 2 || out.Stats.EffectiveWorkers != out.Workers.Total {
+		t.Errorf("worker total %d (raw %d), want the configured 2", out.Workers.Total, out.Stats.EffectiveWorkers)
 	}
 	win, ok := out.Backends["dinic"]
 	if !ok {

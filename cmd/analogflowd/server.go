@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"math"
 	"net/http"
 	"strings"
@@ -46,9 +45,6 @@ type server struct {
 	// surface in /v1/metrics and /v1/stats alike.
 	disconnects *metrics.Counter
 	expired     *metrics.Counter
-	// verboseHealthzOnce rate-limits the deprecation notice for the
-	// ?verbose=1 healthz compatibility shape to one log line per process.
-	verboseHealthzOnce sync.Once
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -344,31 +340,8 @@ func (s *server) handleSolvers(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz is the liveness probe: version, draining flag, nothing
-// else — the counter dump that used to live here moved to /v1/stats.  The
-// legacy shape survives one release behind ?verbose=1 (log-deprecated) for
-// dashboards that still scrape it.
+// else — counters live in /v1/stats.
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("verbose") == "1" {
-		s.verboseHealthzOnce.Do(func() {
-			log.Printf("deprecated: /v1/healthz?verbose=1 is a one-release compatibility shape; scrape /v1/stats instead")
-		})
-		s.mu.Lock()
-		sessions := len(s.sessions)
-		s.mu.Unlock()
-		stats := s.svc.Stats()
-		s.writeJSON(w, http.StatusOK, map[string]any{
-			"status":                   "ok",
-			"uptime_seconds":           time.Since(s.start).Seconds(),
-			"sessions":                 sessions,
-			"draining":                 s.draining.Load(),
-			"client_disconnects":       s.disconnects.Value(),
-			"expired_sessions":         s.expired.Value(),
-			"structural_updates":       stats.StructuralUpdates,
-			"slack_exhausted_rebuilds": stats.SlackExhaustedRebuilds,
-			"stats":                    stats,
-		})
-		return
-	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"version":  serverVersion,

@@ -27,6 +27,25 @@ func newTestServer(t *testing.T, workers int) *httptest.Server {
 	return srv
 }
 
+// getStats fetches /v1/stats and returns its sessions block and raw counter
+// dump.
+func getStats(t *testing.T, url string) (statsSessions, solve.Stats) {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Sessions statsSessions `json:"sessions"`
+		Stats    solve.Stats   `json:"stats"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Sessions, out.Stats
+}
+
 // postSolve sends a solve request and returns the streamed items keyed by
 // index, plus the final done line.
 func postSolve(t *testing.T, srv *httptest.Server, body string) (map[int]map[string]any, map[string]any) {
@@ -181,25 +200,23 @@ func TestHealthzEndpoint(t *testing.T) {
 	if _, ok := slim["stats"]; ok {
 		t.Errorf("slim healthz still carries the counter dump: %v", slim)
 	}
-	// The one-release compatibility shape keeps the old counter dump.
+	// ?verbose=1 selects nothing: it answers the same liveness body.
 	resp, err = http.Get(srv.URL + "/v1/healthz?verbose=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var out struct {
-		Status string      `json:"status"`
-		Uptime float64     `json:"uptime_seconds"`
-		Stats  solve.Stats `json:"stats"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	var verbose map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&verbose)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Status != "ok" {
-		t.Errorf("status %q", out.Status)
+	if !reflect.DeepEqual(verbose, slim) {
+		t.Errorf("healthz?verbose=1 = %v, want the liveness body %v", verbose, slim)
 	}
-	if out.Stats.Requests < 1 || out.Stats.Completed < 1 {
-		t.Errorf("counters did not move: %+v", out.Stats)
+	// The counters live in /v1/stats.
+	if _, stats := getStats(t, srv.URL); stats.Requests < 1 || stats.Completed < 1 {
+		t.Errorf("counters did not move: %+v", stats)
 	}
 }
 
@@ -413,7 +430,7 @@ func TestSessionLifecycle(t *testing.T) {
 // remove_edges step parks an edge warm, a mixed step (capacity + add_edges)
 // reclaims the parked slot, and a legacy array-form step still works in the
 // same chain.  Structural step records carry structural/slack_remaining, and
-// /v1/healthz surfaces the structural counters.
+// /v1/stats surfaces the structural counters.
 func TestSessionStructuralSteps(t *testing.T) {
 	srv := newTestServer(t, 2)
 
@@ -494,20 +511,12 @@ func TestSessionStructuralSteps(t *testing.T) {
 		t.Errorf("capacity step record %v unexpectedly marked structural", steps[2])
 	}
 
-	hresp, err := http.Get(srv.URL + "/v1/healthz?verbose=1")
-	if err != nil {
-		t.Fatal(err)
+	_, stats := getStats(t, srv.URL)
+	if stats.StructuralUpdates != 2 {
+		t.Errorf("stats structural_updates = %d, want 2", stats.StructuralUpdates)
 	}
-	var health map[string]any
-	if err := json.NewDecoder(hresp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	hresp.Body.Close()
-	if health["structural_updates"].(float64) != 2 {
-		t.Errorf("healthz structural_updates = %v, want 2", health["structural_updates"])
-	}
-	if _, ok := health["slack_exhausted_rebuilds"]; !ok {
-		t.Errorf("healthz lacks slack_exhausted_rebuilds: %v", health)
+	if stats.SlackExhaustedRebuilds != 0 {
+		t.Errorf("stats slack_exhausted_rebuilds = %d, want 0 (the reclaim found a parked slot)", stats.SlackExhaustedRebuilds)
 	}
 }
 
@@ -515,7 +524,7 @@ func TestSessionStructuralSteps(t *testing.T) {
 // budget runs every step through the partition planner — and stays warm step
 // to step, because the service re-binds the chain's cached region oracle
 // instead of rebuilding it cold.  The step reports carry the sharded plan and
-// /v1/healthz surfaces the sharded-update counters.
+// /v1/stats surfaces the sharded-update counters.
 func TestSessionShardedChainStaysWarm(t *testing.T) {
 	srv := newTestServer(t, 2)
 	resp := postJSON(t, srv.URL+"/v1/sessions", `{"solver":"dinic",
@@ -580,30 +589,20 @@ func TestSessionShardedChainStaysWarm(t *testing.T) {
 		t.Fatalf("streamed %d steps, want 2", steps)
 	}
 
-	hresp, err := http.Get(srv.URL + "/v1/healthz?verbose=1")
-	if err != nil {
-		t.Fatal(err)
+	_, stats := getStats(t, srv.URL)
+	if stats.ShardedUpdates != 2 || stats.ShardedUpdateWarmHits != 2 {
+		t.Errorf("stats sharded-update counters %d/%d warm, want 2/2",
+			stats.ShardedUpdates, stats.ShardedUpdateWarmHits)
 	}
-	defer hresp.Body.Close()
-	var health struct {
-		Stats solve.Stats `json:"stats"`
+	if stats.CachedOracles != 1 {
+		t.Errorf("stats cached_oracles %d, want 1", stats.CachedOracles)
 	}
-	if err := json.NewDecoder(hresp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
+	if stats.ConsensusWarmStarts < 1 {
+		t.Errorf("stats consensus_warm_starts %d, want >= 1 (the chain carries consensus state)",
+			stats.ConsensusWarmStarts)
 	}
-	if health.Stats.ShardedUpdates != 2 || health.Stats.ShardedUpdateWarmHits != 2 {
-		t.Errorf("healthz sharded-update counters %d/%d warm, want 2/2",
-			health.Stats.ShardedUpdates, health.Stats.ShardedUpdateWarmHits)
-	}
-	if health.Stats.CachedOracles != 1 {
-		t.Errorf("healthz cached_oracles %d, want 1", health.Stats.CachedOracles)
-	}
-	if health.Stats.ConsensusWarmStarts < 1 {
-		t.Errorf("healthz consensus_warm_starts %d, want >= 1 (the chain carries consensus state)",
-			health.Stats.ConsensusWarmStarts)
-	}
-	if health.Stats.AvgOuterIterations <= 0 {
-		t.Errorf("healthz avg_outer_iterations %g, want > 0", health.Stats.AvgOuterIterations)
+	if stats.AvgOuterIterations <= 0 {
+		t.Errorf("stats avg_outer_iterations %g, want > 0", stats.AvgOuterIterations)
 	}
 }
 
@@ -833,7 +832,7 @@ func TestSolveBadRequests(t *testing.T) {
 
 // TestSolveWithBudgetShardsAndReportsPlan drives the partition planner over
 // HTTP: an R-MAT instance larger than the requested budget is auto-sharded,
-// the streamed report carries the plan, and /v1/healthz surfaces the planner
+// the streamed report carries the plan, and /v1/stats surfaces the planner
 // counters.
 func TestSolveWithBudgetShardsAndReportsPlan(t *testing.T) {
 	srv := newTestServer(t, 2)
@@ -867,20 +866,9 @@ func TestSolveWithBudgetShardsAndReportsPlan(t *testing.T) {
 		t.Errorf("sharded flow %v vs exact %v beyond tolerance", flow, exact)
 	}
 
-	// Planner stats are visible through the verbose health endpoint.
-	resp, err := http.Get(srv.URL + "/v1/healthz?verbose=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var health struct {
-		Stats solve.Stats `json:"stats"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	if health.Stats.PlannedSolves != 1 || health.Stats.ShardedSolves != 1 {
-		t.Errorf("healthz planner stats %+v, want 1 planned / 1 sharded", health.Stats)
+	// Planner stats are visible through /v1/stats.
+	if _, stats := getStats(t, srv.URL); stats.PlannedSolves != 1 || stats.ShardedSolves != 1 {
+		t.Errorf("stats planner counters %+v, want 1 planned / 1 sharded", stats)
 	}
 }
 

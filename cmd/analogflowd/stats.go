@@ -47,9 +47,8 @@ type statsSessions struct {
 }
 
 // handleStats serves the fleet-style JSON aggregate: the operator view a
-// router or autoscaler polls — workers, queues, caches, sessions, governor,
-// per-backend latency windows — plus the full raw counter snapshot (the
-// dump that used to live in /v1/healthz) under "stats".
+// router or autoscaler polls — workers, queues, caches, sessions,
+// per-backend latency — plus the full raw counter snapshot under "stats".
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats := s.svc.Stats()
 	s.mu.Lock()
@@ -87,9 +86,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Expired:           s.expired.Value(),
 			ClientDisconnects: s.disconnects.Value(),
 		},
-		"governor":       stats.Governor,
-		"backends":       stats.BackendWindows,
-		"throughput_rps": stats.ThroughputRPS,
-		"stats":          stats,
+		"backends": stats.BackendWindows,
+		"stats":    stats,
 	})
 }

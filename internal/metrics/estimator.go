@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"math"
-	"sync"
-	"time"
-)
+import "sync"
 
 // EMA is a classic fixed-alpha exponential moving average. The first
 // observation seeds the average directly.
@@ -47,198 +43,4 @@ func (e *EMA) Count() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.n
-}
-
-// DynamicEMA is a time-decayed EMA with a dynamic smoothing factor: the
-// weight of each new sample depends on how much wall time passed since the
-// previous one (alpha = 1 - exp(-dt/window)), so the average converges at a
-// rate set by the half-life-style window rather than by sample count. A
-// burst of samples in one instant barely moves it; a sample after a long
-// gap nearly replaces it. This is the estimator the admission controller
-// and governor read, so irregular traffic cannot starve or flood the
-// signal.
-type DynamicEMA struct {
-	mu     sync.Mutex
-	window time.Duration
-	v      float64
-	n      int64
-	last   time.Time
-}
-
-// NewDynamicEMA returns a dynamic-window EMA with the given time constant.
-func NewDynamicEMA(window time.Duration) *DynamicEMA {
-	if window <= 0 {
-		panic("metrics: DynamicEMA window must be positive")
-	}
-	return &DynamicEMA{window: window}
-}
-
-// Observe folds in a sample stamped now.
-func (e *DynamicEMA) Observe(x float64) { e.ObserveAt(time.Now(), x) }
-
-// ObserveAt folds in a sample with an explicit timestamp, for deterministic
-// tests and replay. Out-of-order timestamps are treated as dt=0.
-func (e *DynamicEMA) ObserveAt(t time.Time, x float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.n == 0 {
-		e.v = x
-		e.last = t
-		e.n++
-		return
-	}
-	dt := t.Sub(e.last)
-	if dt < 0 {
-		dt = 0
-	}
-	alpha := 1 - math.Exp(-float64(dt)/float64(e.window))
-	e.v = alpha*x + (1-alpha)*e.v
-	if t.After(e.last) {
-		e.last = t
-	}
-	e.n++
-}
-
-// Value returns the current average (0 before any observation).
-func (e *DynamicEMA) Value() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.v
-}
-
-// Count returns the number of observations folded in.
-func (e *DynamicEMA) Count() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.n
-}
-
-// SMA is a simple moving average over the last capacity samples (ring
-// buffer). Before the window fills it averages what it has.
-type SMA struct {
-	mu   sync.Mutex
-	buf  []float64
-	next int
-	n    int64
-	sum  float64
-}
-
-// NewSMA returns an SMA over a window of capacity samples.
-func NewSMA(capacity int) *SMA {
-	if capacity < 1 {
-		panic("metrics: SMA capacity must be >= 1")
-	}
-	return &SMA{buf: make([]float64, capacity)}
-}
-
-// Observe pushes one sample, evicting the oldest once the window is full.
-func (s *SMA) Observe(x float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n >= int64(len(s.buf)) {
-		s.sum -= s.buf[s.next]
-	}
-	s.buf[s.next] = x
-	s.sum += x
-	s.next = (s.next + 1) % len(s.buf)
-	s.n++
-}
-
-// Value returns the window average (0 before any observation).
-func (s *SMA) Value() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return 0
-	}
-	w := s.n
-	if w > int64(len(s.buf)) {
-		w = int64(len(s.buf))
-	}
-	return s.sum / float64(w)
-}
-
-// Count returns the number of observations pushed (lifetime, not window).
-func (s *SMA) Count() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Meter measures an event rate (events/second) over a sliding pair of
-// fixed intervals: the finished previous interval anchors the rate and the
-// in-progress one is blended in proportionally, so the reading is smooth
-// without keeping per-event timestamps.
-type Meter struct {
-	mu       sync.Mutex
-	interval time.Duration
-	start    time.Time // start of the current interval
-	cur      int64     // events in the current interval
-	prev     int64     // events in the finished previous interval
-	primed   bool      // a full interval has completed
-}
-
-// NewMeter returns a meter with the given measurement interval.
-func NewMeter(interval time.Duration) *Meter {
-	if interval <= 0 {
-		panic("metrics: Meter interval must be positive")
-	}
-	return &Meter{interval: interval}
-}
-
-// Mark records n events now.
-func (m *Meter) Mark(n int64) { m.MarkAt(time.Now(), n) }
-
-// MarkAt records n events at an explicit time, for deterministic tests.
-func (m *Meter) MarkAt(t time.Time, n int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rollAt(t)
-	m.cur += n
-}
-
-// Rate returns the current events/second estimate.
-func (m *Meter) Rate() float64 { return m.RateAt(time.Now()) }
-
-// RateAt returns the events/second estimate as of an explicit time.
-func (m *Meter) RateAt(t time.Time) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rollAt(t)
-	elapsed := t.Sub(m.start)
-	if elapsed < 0 {
-		elapsed = 0
-	}
-	frac := float64(elapsed) / float64(m.interval)
-	if frac > 1 {
-		frac = 1
-	}
-	iv := m.interval.Seconds()
-	if !m.primed {
-		// Only a partial interval exists; scale by observed time so early
-		// readings are not wildly deflated, but guard tiny denominators.
-		sec := elapsed.Seconds()
-		if sec < iv/10 {
-			sec = iv / 10
-		}
-		return float64(m.cur) / sec
-	}
-	// Blend: the previous interval fades out as the current one fills in.
-	return (float64(m.prev)*(1-frac) + float64(m.cur)) / iv
-}
-
-// rollAt advances interval boundaries; callers hold m.mu.
-func (m *Meter) rollAt(t time.Time) {
-	if m.start.IsZero() {
-		m.start = t
-		return
-	}
-	for t.Sub(m.start) >= m.interval {
-		m.prev = m.cur
-		m.cur = 0
-		m.start = m.start.Add(m.interval)
-		m.primed = true
-		// If more than one whole interval passed, the "previous" interval
-		// is stale too; a second loop iteration zeroes it.
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterAndGauge(t *testing.T) {
@@ -161,77 +160,6 @@ func TestEMA(t *testing.T) {
 	}
 	if e.Count() != 2 {
 		t.Fatalf("count = %d, want 2", e.Count())
-	}
-}
-
-func TestDynamicEMAWindow(t *testing.T) {
-	e := NewDynamicEMA(time.Second)
-	t0 := time.Unix(1000, 0)
-	e.ObserveAt(t0, 100)
-	if e.Value() != 100 {
-		t.Fatalf("seed = %v, want 100", e.Value())
-	}
-	// A sample after exactly one window: alpha = 1 - 1/e ~ 0.632.
-	e.ObserveAt(t0.Add(time.Second), 0)
-	got := e.Value()
-	want := 100 * math.Exp(-1)
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("after one window: %v, want %v", got, want)
-	}
-	// A burst of samples at the same instant barely moves it (dt = 0).
-	before := e.Value()
-	for i := 0; i < 100; i++ {
-		e.ObserveAt(t0.Add(time.Second), 1e6)
-	}
-	if e.Value() != before {
-		t.Errorf("zero-dt burst moved the average: %v -> %v", before, e.Value())
-	}
-	// A sample after many windows nearly replaces the value.
-	e.ObserveAt(t0.Add(time.Minute), 7)
-	if math.Abs(e.Value()-7) > 1e-6 {
-		t.Errorf("long-gap sample should dominate: %v, want ~7", e.Value())
-	}
-}
-
-func TestSMA(t *testing.T) {
-	s := NewSMA(3)
-	if s.Value() != 0 {
-		t.Fatal("empty SMA should read 0")
-	}
-	s.Observe(1)
-	s.Observe(2)
-	if s.Value() != 1.5 {
-		t.Fatalf("partial window = %v, want 1.5", s.Value())
-	}
-	s.Observe(3)
-	s.Observe(4) // evicts 1
-	if s.Value() != 3 {
-		t.Fatalf("full window = %v, want 3", s.Value())
-	}
-	if s.Count() != 4 {
-		t.Fatalf("count = %d, want 4", s.Count())
-	}
-}
-
-func TestMeterRate(t *testing.T) {
-	m := NewMeter(time.Second)
-	t0 := time.Unix(2000, 0)
-	m.MarkAt(t0, 10)
-	// Mid-first-interval reading: 10 events over 0.5s -> ~20/s.
-	r := m.RateAt(t0.Add(500 * time.Millisecond))
-	if r < 15 || r > 25 {
-		t.Fatalf("unprimed rate = %v, want ~20", r)
-	}
-	// Complete the interval, start the next: blended rate around 10/s.
-	m.MarkAt(t0.Add(1100*time.Millisecond), 1)
-	r = m.RateAt(t0.Add(1500 * time.Millisecond))
-	if r < 4 || r > 12 {
-		t.Fatalf("primed rate = %v, want ~6", r)
-	}
-	// After a long silence the rate decays to ~0.
-	r = m.RateAt(t0.Add(time.Minute))
-	if r != 0 {
-		t.Fatalf("idle rate = %v, want 0", r)
 	}
 }
 

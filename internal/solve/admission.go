@@ -175,16 +175,13 @@ func (a *admitter) acquireBlocking(lane int) {
 
 // release returns one slot, handing it directly to the longest-waiting
 // waiter in the highest-priority non-empty lane, or freeing it when no one
-// waits.  After a governor shrink (capacity below inUse) the slot is retired
-// instead of handed off, which is how the pool drains down to the new bound.
+// waits.
 func (a *admitter) release() {
 	a.mu.Lock()
-	if a.inUse <= a.capacity {
-		if w := a.popLocked(); w != nil {
-			a.mu.Unlock()
-			close(w.grant)
-			return
-		}
+	if w := a.popLocked(); w != nil {
+		a.mu.Unlock()
+		close(w.grant)
+		return
 	}
 	a.inUse--
 	a.mu.Unlock()
@@ -205,31 +202,6 @@ func (a *admitter) popLocked() *waiter {
 		return w
 	}
 	return nil
-}
-
-// resize changes the worker-slot capacity.  Growing grants freed slots to
-// queued waiters immediately; shrinking lets in-flight work finish and
-// retires slots as they release (see release).  The governor is the only
-// caller.
-func (a *admitter) resize(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	var grants []*waiter
-	a.mu.Lock()
-	a.capacity = capacity
-	for a.inUse < a.capacity {
-		w := a.popLocked()
-		if w == nil {
-			break
-		}
-		a.inUse++
-		grants = append(grants, w)
-	}
-	a.mu.Unlock()
-	for _, w := range grants {
-		close(w.grant)
-	}
 }
 
 // remove unqueues w from lane; false means w was already granted.  Callers
@@ -263,13 +235,6 @@ func (a *admitter) laneDepths() [numLanes]int {
 		d[l] = len(a.lanes[l])
 	}
 	return d
-}
-
-// capacityNow reports the current (possibly governor-adjusted) slot count.
-func (a *admitter) capacityNow() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.capacity
 }
 
 // busy reports how many slots are currently held.

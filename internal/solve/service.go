@@ -45,11 +45,6 @@ type Config struct {
 	// the estimated queue wait (depth × the backend's recent-latency EMA)
 	// overruns the deadline.
 	MaxQueue int
-	// Governor configures the adaptive capacity governor: a background loop
-	// that tunes the effective worker-slot count and the effective
-	// Budget.MaxVertices from observed saturation.  The zero value leaves
-	// the governor disabled (fixed Workers, fixed budget).
-	Governor GovernorConfig
 }
 
 // Service is the concurrent batch engine on top of the registry: it fans a
@@ -75,23 +70,14 @@ type Service struct {
 	// (see admitter).  Update traffic rides the priority lane, so warm
 	// session chains are never shed behind queued cold batch solves.
 	adm *admitter
-	// ema tracks recent solve latency per backend — the admission queue's
-	// wait estimator, plus the windowed views /v1/stats and the governor
-	// read.  The name survives from the PR 6 latencyEMA it generalizes.
+	// ema tracks recent solve latency per backend: the fixed-alpha EMA is
+	// the admission queue's wait estimator and the /v1/stats reading, the
+	// histogram gives p50/p99.
 	ema *backendWindows
 
 	// mreg is the instrument registry every service counter lives in; the
-	// HTTP plane renders it at /v1/metrics.  meter measures completed
-	// requests per second.
-	mreg  *metrics.Registry
-	meter *metrics.Meter
-
-	// gov is the adaptive governor state (nil-safe zero value when
-	// disabled); effMaxVertices is the governor-adjusted substrate budget
-	// consulted by effectiveBudget for problems that carry no budget of
-	// their own.
-	gov            governor
-	effMaxVertices atomic.Int64
+	// HTTP plane renders it at /v1/metrics.
+	mreg *metrics.Registry
 
 	mu    sync.Mutex
 	cache map[string]*cacheEntry
@@ -165,14 +151,17 @@ func NewService(cfg Config) *Service {
 		adm:       newAdmitter(workers, cfg.MaxQueue),
 		ema:       newBackendWindows(mreg),
 		mreg:      mreg,
-		meter:     metrics.NewMeter(10 * time.Second),
 		cache:     make(map[string]*cacheEntry),
 		oracles:   newOracleCache(cfg.MaxCachedOracles),
 	}
 	s.registerInstruments()
-	s.startGovernor(cfg.Governor)
 	return s
 }
+
+// Close is a no-op: the service runs no background goroutine and holds
+// nothing that outlives its last request.  It stays in the API so callers
+// that defer it keep compiling.
+func (s *Service) Close() {}
 
 // registerInstruments creates every service-level counter and gauge in the
 // instrument registry.  Registration order is exposition order.
@@ -202,8 +191,8 @@ func (s *Service) registerInstruments() {
 
 	m.GaugeFunc("analogflow_in_flight_solves", "Solves currently executing.", nil,
 		func() float64 { return float64(s.inFlight.Load()) })
-	m.GaugeFunc("analogflow_workers_effective", "Current worker-slot capacity (governor-adjusted).", nil,
-		func() float64 { return float64(s.adm.capacityNow()) })
+	m.GaugeFunc("analogflow_workers_effective", "Worker-slot capacity (the configured Workers).", nil,
+		func() float64 { return float64(s.workers) })
 	m.GaugeFunc("analogflow_workers_busy", "Worker slots currently held.", nil,
 		func() float64 { return float64(s.adm.busy()) })
 	for lane, name := range map[int]string{laneUrgent: "urgent", lanePriority: "priority", laneNormal: "normal"} {
@@ -224,7 +213,6 @@ func (s *Service) registerInstruments() {
 		func() float64 { return ratio(s.shardedUpdWarm.Value(), s.shardedUpd.Value()-s.shardedUpdWarm.Value()) })
 	m.GaugeFunc("analogflow_warm_hit_ratio", "Warm-hit rate per cache.", metrics.Labels{"cache": "consensus"},
 		func() float64 { return ratio(s.consensusWarm.Value(), s.outerRuns.Value()-s.consensusWarm.Value()) })
-	m.GaugeFunc("analogflow_throughput_rps", "Completed requests per second (10s meter).", nil, s.meter.Rate)
 }
 
 // Registry returns the registry the service resolves names against.
@@ -293,21 +281,16 @@ type Stats struct {
 	// boundary and converted into ErrSolverPanic failures (the poisoned
 	// warm state was dropped; the process kept serving).
 	SolverPanics int64 `json:"solver_panics"`
-	// BackendEMAms is the recent-solve-latency EMA per backend, in
-	// milliseconds — the admission queue's deadline estimator.
-	BackendEMAms map[string]float64 `json:"backend_ema_ms,omitempty"`
-	// BackendWindows is the full windowed latency view per backend: fixed
-	// EMA, dynamic-window EMA, SMA, and histogram quantiles.
+	// BackendWindows is the latency view per backend: the fixed-alpha EMA
+	// the admission queue's deadline estimate reads, and histogram
+	// quantiles.
 	BackendWindows map[string]BackendWindow `json:"backend_windows,omitempty"`
-	// EffectiveWorkers is the current worker-slot capacity (equal to the
-	// configured Workers unless the governor has adjusted it); BusyWorkers
-	// the slots currently held; LaneDepths the admission waiters per lane.
-	EffectiveWorkers int              `json:"effective_workers"`
-	BusyWorkers      int              `json:"busy_workers"`
-	LaneDepths       LaneDepths       `json:"lane_depths"`
-	Governor         GovernorSnapshot `json:"governor"`
-	// ThroughputRPS is completed requests per second over a 10s meter.
-	ThroughputRPS float64 `json:"throughput_rps"`
+	// EffectiveWorkers is the worker-slot capacity (the configured
+	// Workers); BusyWorkers the slots currently held; LaneDepths the
+	// admission waiters per lane.
+	EffectiveWorkers int        `json:"effective_workers"`
+	BusyWorkers      int        `json:"busy_workers"`
+	LaneDepths       LaneDepths `json:"lane_depths"`
 }
 
 // LaneDepths is the admission-queue waiter count per priority lane.
@@ -353,17 +336,14 @@ func (s *Service) Stats() Stats {
 		ShedRequests:          s.shedRequests.Value(),
 		QueueDepth:            int64(s.adm.queueDepth()),
 		SolverPanics:          s.solverPanics.Value(),
-		BackendEMAms:          s.ema.snapshot(),
 		BackendWindows:        s.ema.windows(),
-		EffectiveWorkers:      s.adm.capacityNow(),
+		EffectiveWorkers:      s.workers,
 		BusyWorkers:           s.adm.busy(),
 		LaneDepths: LaneDepths{
 			Urgent:   depths[laneUrgent],
 			Priority: depths[lanePriority],
 			Normal:   depths[laneNormal],
 		},
-		Governor:      s.gov.snapshot(s),
-		ThroughputRPS: s.meter.Rate(),
 	}
 }
 
@@ -431,7 +411,6 @@ func (s *Service) run(ctx context.Context, lane int, deadline time.Time, solver,
 	if err == nil {
 		s.ema.observeOp(solver, op, time.Since(start))
 	}
-	s.meter.Mark(1)
 	s.inFlight.Add(-1)
 	s.adm.release()
 	return rep, err
@@ -510,18 +489,12 @@ func (s *Service) solve(ctx context.Context, req Request) (*Report, error) {
 }
 
 // effectiveBudget resolves the budget that applies to p: its own when set,
-// the service default — with the governor's MaxVertices adjustment, when
-// one is active — otherwise.  A problem-carried budget is a caller contract
-// and is never governor-adjusted.
+// the service default otherwise.
 func (s *Service) effectiveBudget(p *Problem) Budget {
 	if b := p.Budget(); !b.IsZero() {
 		return b
 	}
-	b := s.budget
-	if eff := s.effMaxVertices.Load(); eff > 0 && b.MaxVertices > 0 {
-		b.MaxVertices = int(eff)
-	}
-	return b
+	return s.budget
 }
 
 // planAndRoute is the planner gate in front of every service solve: under a
@@ -811,7 +784,7 @@ func (s *Service) SolveBatchDrain(ctx context.Context, reqs []Request, onResult 
 func (s *Service) solveBatch(ctx context.Context, reqs []Request, onResult func(BatchResult), stop func() bool) []BatchResult {
 	results := make([]BatchResult, len(reqs))
 	var emitMu sync.Mutex
-	_ = parallel.ForEachLimit(len(reqs), s.fanout(), func(i int) error {
+	_ = parallel.ForEachLimit(len(reqs), s.workers, func(i int) error {
 		var res BatchResult
 		res.Index = i
 		if stop != nil && stop() {

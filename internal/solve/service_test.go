@@ -455,6 +455,37 @@ func TestServiceCacheEviction(t *testing.T) {
 	}
 }
 
+// TestServiceCacheHitReportsOwnWallTime: a warm cache hit runs no kernel,
+// so its report must carry the hit's own time — never the first solve's
+// kernel time, which can exceed the whole second request.
+func TestServiceCacheHitReportsOwnWallTime(t *testing.T) {
+	g, err := graph.SegmentationGrid(128, 128, false, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProblem(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(Config{Workers: 1})
+	req := Request{Solver: "push-relabel", Problem: p}
+	if _, err := svc.Solve(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	rep, err := svc.Solve(context.Background(), req)
+	outer := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Stats(); st.CacheHits != 1 {
+		t.Fatalf("second solve was not a cache hit: %d hits", st.CacheHits)
+	}
+	if rep.WallTime <= 0 || rep.WallTime > outer {
+		t.Errorf("cache-hit WallTime %v, want in (0, %v] (the second call's own wall time)", rep.WallTime, outer)
+	}
+}
+
 // TestServiceStreamingOrder checks that SolveBatchFunc reports every item
 // exactly once and that the returned slice is index-ordered.
 func TestServiceStreamingOrder(t *testing.T) {
